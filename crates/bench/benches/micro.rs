@@ -97,12 +97,14 @@ fn bench(c: &mut Criterion) {
     for (label, threads) in [("threads_1", 1), ("threads_default", 0)] {
         group.bench_function(format!("end_to_end/ssvs_{label}"), |b| {
             b.iter(|| {
-                let a = colarm::plan::execute_plan_with(
+                let a = colarm::engine::execute(
                     index,
                     &query,
                     &focal,
                     colarm::PlanKind::SsVs,
                     colarm::ExecOptions::with_threads(threads),
+                    &colarm::QueryLimits::none(),
+                    None,
                 )
                 .expect("runs");
                 black_box(a.rules.len())
@@ -116,12 +118,14 @@ fn bench(c: &mut Criterion) {
     for (label, metrics) in [("metrics_off", false), ("metrics_on", true)] {
         group.bench_function(format!("end_to_end/ssvs_{label}"), |b| {
             b.iter(|| {
-                let a = colarm::plan::execute_plan_with(
+                let a = colarm::engine::execute(
                     index,
                     &query,
                     &focal,
                     colarm::PlanKind::SsVs,
                     colarm::ExecOptions::with_threads(1).with_metrics(metrics),
+                    &colarm::QueryLimits::none(),
+                    None,
                 )
                 .expect("runs");
                 black_box(a.rules.len())

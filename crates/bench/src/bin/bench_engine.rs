@@ -1,5 +1,5 @@
 //! Engine-dispatch benchmark: the streaming operator engine
-//! (`execute_plan_with`, batched `PlanOp` pipeline with per-batch
+//! (`engine::execute`, batched `PlanOp` pipeline with per-batch
 //! cancellation checks) against the hand-wired free-function pipelines it
 //! replaced, per plan, on the Table 1 salary dataset and the mushroom
 //! analog. Writes `BENCH_engine.json`.
@@ -13,10 +13,10 @@
 //! eleven records, so fixed costs dominate). Both paths must also agree
 //! on rules and unit totals, which this binary asserts on every run.
 
+use colarm::engine;
 use colarm::mine::rules::Rule;
 use colarm::ops::{self, ExecOptions};
-use colarm::plan::execute_plan_with;
-use colarm::{LocalizedQuery, MipIndex, MipIndexConfig, PlanKind};
+use colarm::{LocalizedQuery, MipIndex, MipIndexConfig, PlanKind, QueryLimits};
 use colarm_bench::{build_system, mushroom_spec, random_subset_spec, Scale};
 use colarm_data::FocalSubset;
 use rand::rngs::StdRng;
@@ -40,33 +40,33 @@ fn reference_execute(
     let mut rules = match plan {
         PlanKind::Sev => {
             let (cands, _) = ops::search(index, subset);
-            let (kept, _) = ops::eliminate_with(index, query, subset, cands, minsupp_count, opts);
-            ops::verify_with(index, subset, &kept, minconf, opts).0
+            let (kept, _) = ops::eliminate(index, query, subset, cands, minsupp_count, opts);
+            ops::verify(index, subset, &kept, minconf, opts).0
         }
         PlanKind::Svs => {
             let (cands, _) = ops::search(index, subset);
-            ops::supported_verify_with(index, query, subset, cands, minsupp_count, minconf, opts).0
+            ops::supported_verify(index, query, subset, cands, minsupp_count, minconf, opts).0
         }
         PlanKind::SsEv => {
             let (cands, _) = ops::supported_search(index, subset, minsupp_count);
-            let (kept, _) = ops::eliminate_with(index, query, subset, cands, minsupp_count, opts);
-            ops::verify_with(index, subset, &kept, minconf, opts).0
+            let (kept, _) = ops::eliminate(index, query, subset, cands, minsupp_count, opts);
+            ops::verify(index, subset, &kept, minconf, opts).0
         }
         PlanKind::SsVs => {
             let (cands, _) = ops::supported_search(index, subset, minsupp_count);
-            ops::supported_verify_with(index, query, subset, cands, minsupp_count, minconf, opts).0
+            ops::supported_verify(index, query, subset, cands, minsupp_count, minconf, opts).0
         }
         PlanKind::SsEuv => {
             let (cands, _) = ops::supported_search(index, subset, minsupp_count);
             let (contained, partial, _) = ops::classify(index, query, subset, cands);
             let (kept_partial, _) =
-                ops::eliminate_projected_with(index, subset, partial, minsupp_count, opts);
+                ops::eliminate_projected(index, subset, partial, minsupp_count, opts);
             let (merged, _) = ops::union_lists(contained, kept_partial);
-            ops::verify_with(index, subset, &merged, minconf, opts).0
+            ops::verify(index, subset, &merged, minconf, opts).0
         }
         PlanKind::Arm => {
-            let (columns, _) = ops::select_with(index, query, subset, opts);
-            ops::arm_with(index, query, subset, &columns, minsupp_count, minconf, opts).0
+            let (columns, _) = ops::select(index, query, subset, opts);
+            ops::arm(index, query, subset, &columns, minsupp_count, minconf, opts).0
         }
     };
     rules.sort_by(|a, b| (&a.antecedent, &a.consequent).cmp(&(&b.antecedent, &b.consequent)));
@@ -124,16 +124,17 @@ fn bench(
     let opts = ExecOptions::with_threads(1);
     let mut plans = Vec::new();
     for plan in PlanKind::ALL {
+        let none = QueryLimits::none();
+        let run_engine =
+            || engine::execute(index, query, subset, plan, opts, &none, None).expect("runs");
         // Equivalence first: the benchmark is meaningless if the two
         // paths compute different answers.
-        let engine_answer = execute_plan_with(index, query, subset, plan, opts).expect("runs");
+        let engine_answer = run_engine();
         let ref_rules = reference_execute(index, query, subset, plan, opts);
         assert_eq!(engine_answer.rules, ref_rules, "{name}/{plan}: paths diverged");
 
         let reference_s = best_of(reps, || reference_execute(index, query, subset, plan, opts));
-        let engine_s = best_of(reps, || {
-            execute_plan_with(index, query, subset, plan, opts).expect("runs")
-        });
+        let engine_s = best_of(reps, run_engine);
         plans.push(PlanRow {
             plan: plan.name(),
             rules: ref_rules.len(),
@@ -198,7 +199,7 @@ fn main() {
         .expect("valid query");
 
     let report = Report {
-        description: "Streaming operator engine (execute_plan_with) vs the \
+        description: "Streaming operator engine (engine::execute) vs the \
                       hand-wired ops:: free-function pipelines, per plan, \
                       sequential execution (best of N reps)",
         budget: "end_to_end_overhead <= 0.05 on the salary scenario",

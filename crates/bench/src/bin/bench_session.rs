@@ -28,7 +28,9 @@ use colarm::data::par::set_scoped_executor;
 use colarm::data::synth::{generate, SynthConfig};
 use colarm::data::{AttributeId, RangeSpec};
 use colarm::mine::rules::Rule;
-use colarm::{Colarm, LocalizedQuery, MipIndexConfig, QuerySession, Semantics, SessionConfig};
+use colarm::{
+    Colarm, LocalizedQuery, MipIndexConfig, QueryRequest, QuerySession, Semantics, SessionConfig,
+};
 use serde::Serialize;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -103,7 +105,7 @@ fn run_chain(
     session.set_threads(threads);
     chain
         .iter()
-        .map(|q| session.execute(q).expect("chain query runs").rules.clone())
+        .map(|q| session.run(&QueryRequest::query(q)).expect("chain query runs").rules)
         .collect()
 }
 

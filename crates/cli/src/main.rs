@@ -44,7 +44,10 @@
 
 mod repl;
 
-use colarm::{Colarm, ColarmServer, MipIndexConfig, QuerySession, ServerConfig, TransportConfig};
+use colarm::{
+    Colarm, ColarmServer, MipIndexConfig, QueryRequest, QuerySession, ServerConfig,
+    TransportConfig,
+};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -342,18 +345,17 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let session = QuerySession::new(colarm);
     session.set_timeout(opts.timeout_ms.map(Duration::from_millis));
     if let Some(query_text) = repl::strip_analyze_prefix(text) {
-        let query =
-            colarm::parse_query(query_text, &schema).map_err(|e| e.to_string())?;
-        let analyzed = session.explain_analyze(&query).map_err(|e| e.to_string())?;
+        let request = QueryRequest::text(query_text).with_analyze(true);
+        let out = session.run(&request).map_err(|e| e.to_string())?;
+        let report = out.analyze.expect("analyze runs carry a report");
         if opts.json {
-            println!("{}", analyzed.report.to_json());
+            println!("{}", report.to_json());
         } else {
-            println!("{}", analyzed.report);
+            println!("{report}");
         }
         return Ok(());
     }
-    let query = colarm::parse_query(text, &schema).map_err(|e| e.to_string())?;
-    let request = colarm::QueryRequest::query(&query).with_trace(true);
+    let request = QueryRequest::text(text.as_str()).with_trace(true);
     let out = session.run(&request).map_err(|e| e.to_string())?;
     if opts.json {
         // The same QueryOutcome JSON the server returns, so scripts can

@@ -23,7 +23,7 @@
 //! A timed-out or canceled query reports the operator it stopped in and
 //! leaves the session fully usable (nothing partial is cached).
 
-use colarm::{Colarm, PlanKind, QuerySession};
+use colarm::{Colarm, PlanKind, QueryRequest, QuerySession};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -204,13 +204,13 @@ pub fn run(mut colarm: Arc<Colarm>, timeout: Option<Duration>) -> Result<(), Str
             }
             query_text => {
                 match colarm::parse_query(query_text, &schema) {
-                    Ok(query) => match session.execute(&query) {
+                    Ok(query) => match session.run(&QueryRequest::query(&query).with_trace(true)) {
                         Ok(answer) => {
                             println!(
                                 "  plan {} over {} records in {:?} → {} rule(s)",
                                 answer.plan.name(),
                                 answer.subset_size,
-                                answer.trace.total,
+                                answer.trace.map(|t| t.total).unwrap_or_default(),
                                 answer.rules.len()
                             );
                             for rule in answer.rules.iter().take(20) {
@@ -251,9 +251,10 @@ pub(crate) fn strip_analyze_prefix(line: &str) -> Option<&str> {
 
 fn analyze(session: &QuerySession, schema: &colarm::data::Schema, text: &str) {
     match colarm::parse_query(text, schema) {
-        Ok(query) => match session.explain_analyze(&query) {
-            Ok(analyzed) => {
-                for line in analyzed.report.to_string().lines() {
+        Ok(query) => match session.run(&QueryRequest::query(&query).with_analyze(true)) {
+            Ok(out) => {
+                let report = out.analyze.expect("analyze runs carry a report");
+                for line in report.to_string().lines() {
                     println!("  {line}");
                 }
             }

@@ -674,7 +674,7 @@ impl PlanOp for SelectOp {
         };
         let (columns, trace) = match reuse {
             ColumnReuse::Fresh => {
-                let (cols, trace) = ops::select_with(ctx.index, ctx.query, ctx.subset, ctx.opts);
+                let (cols, trace) = ops::select(ctx.index, ctx.query, ctx.subset, ctx.opts);
                 let cols = Arc::new(cols);
                 if let Some(store) = ctx.columns {
                     store.publish(ctx.query, ctx.subset, &cols, false);
@@ -713,7 +713,7 @@ impl PlanOp for ArmOp {
         let Batch::Columns(columns) = input else {
             shape_mismatch(self.kind(), &input)
         };
-        let (rules, trace) = ops::arm_with(
+        let (rules, trace) = ops::arm(
             ctx.index,
             ctx.query,
             ctx.subset,
@@ -755,30 +755,19 @@ pub fn pipeline_ops(plan: PlanKind) -> Vec<Box<dyn PlanOp>> {
     }
 }
 
-/// Execute one plan through the operator engine under the given limits.
+/// Execute one plan through the operator engine under the given limits —
+/// the one full-control entry point every execution path ends in.
 ///
-/// Validation (thresholds, empty subsets, semantics/plan compatibility)
-/// matches the pre-engine executor exactly; with default [`QueryLimits`]
-/// the answer — rules, per-operator traces, metrics, unit totals — is
-/// bit-identical to it at every thread count. A canceled execution
+/// `store` is an optional session [`ColumnStore`] the SELECT operator
+/// consults for cross-query reuse. Rules, traces, and unit accounting are
+/// bit-identical with or without a store; only metrics counters (and
+/// wall-clock) differ. Validation (thresholds, empty subsets,
+/// semantics/plan compatibility) runs before any operator; with default
+/// [`QueryLimits`] the answer — rules, per-operator traces, metrics, unit
+/// totals — is bit-identical at every thread count. A canceled execution
 /// returns [`ColarmError::Canceled`] and produces no answer.
-pub fn execute(
-    index: &MipIndex,
-    query: &LocalizedQuery,
-    subset: &FocalSubset,
-    plan: PlanKind,
-    opts: ExecOptions,
-    limits: &QueryLimits,
-) -> Result<QueryAnswer, ColarmError> {
-    execute_with_store(index, query, subset, plan, opts, limits, None)
-}
-
-/// [`execute`] with an optional session [`ColumnStore`] the SELECT
-/// operator consults for cross-query reuse. Rules, traces, and unit
-/// accounting are bit-identical with or without a store; only metrics
-/// counters (and wall-clock) differ.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_with_store(
+pub fn execute(
     index: &MipIndex,
     query: &LocalizedQuery,
     subset: &FocalSubset,
@@ -894,7 +883,7 @@ mod tests {
         let (index, query, subset) = setup();
         for plan in PlanKind::ALL {
             let limits = QueryLimits::none().with_timeout(Duration::ZERO);
-            let err = execute(&index, &query, &subset, plan, ExecOptions::default(), &limits)
+            let err = execute(&index, &query, &subset, plan, ExecOptions::default(), &limits, None)
                 .unwrap_err();
             let first = pipeline_ops(plan)[0].kind();
             assert_eq!(
@@ -921,6 +910,7 @@ mod tests {
             PlanKind::SsVs,
             ExecOptions::default(),
             &limits,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, ColarmError::Canceled { .. }));
@@ -932,6 +922,7 @@ mod tests {
             PlanKind::SsVs,
             ExecOptions::default(),
             &limits,
+            None,
         )
         .unwrap();
         assert!(!ok.rules.is_empty());
@@ -950,6 +941,7 @@ mod tests {
             PlanKind::Sev,
             ExecOptions::default(),
             &limits,
+            None,
         )
         .unwrap_err();
         match err {

@@ -398,18 +398,6 @@ impl fmt::Display for AnalyzeReport {
     }
 }
 
-/// An `EXPLAIN ANALYZE` result: the executed answer, the optimizer's
-/// decision, and the predicted-vs-actual report.
-#[derive(Debug, Clone)]
-pub struct AnalyzedAnswer {
-    /// The executed answer (rules, trace — metrics reporting on).
-    pub answer: QueryAnswer,
-    /// The optimizer's decision and all six estimates.
-    pub choice: PlanChoice,
-    /// The per-operator predicted-vs-actual report.
-    pub report: AnalyzeReport,
-}
-
 /// Explain a query against a built system without executing it.
 pub fn explain(colarm: &Colarm, query: &LocalizedQuery) -> Result<Explanation, ColarmError> {
     query.validate(colarm.index().dataset().schema())?;

@@ -3,33 +3,23 @@
 //! feedback, and `EXPLAIN ANALYZE`.
 
 use crate::cost::{CostConstants, CostModel, SelectReuse};
-use crate::engine::QueryLimits;
+use crate::engine::{self, QueryLimits};
 use crate::error::ColarmError;
-use crate::explain::{AnalyzeReport, AnalyzedAnswer};
+use crate::explain::AnalyzeReport;
 use crate::mip::{MipIndex, MipIndexConfig};
 use crate::ops::ExecOptions;
 use crate::optimizer::{FeedbackLog, Optimizer, PlanChoice};
-use crate::plan::{execute_plan, execute_plan_hooked, PlanKind, QueryAnswer};
+use crate::plan::{execute_plan, PlanKind, QueryAnswer};
 use crate::query::LocalizedQuery;
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::reuse::ColumnStore;
 use colarm_data::{Dataset, FocalSubset};
 use std::sync::Arc;
 
-/// An optimizer-executed answer: the rules plus the plan decision that
-/// produced them.
-#[derive(Debug, Clone)]
-pub struct OptimizedAnswer {
-    /// The executed answer (rules, trace).
-    pub answer: QueryAnswer,
-    /// The optimizer's decision and all six estimates.
-    pub choice: PlanChoice,
-}
-
 /// What one [`Colarm::run_inner`] execution produced, before it is shaped
 /// for a caller: the answer, the optimizer's decision, and (for analyze
 /// runs) the `EXPLAIN ANALYZE` report. Internal — public surfaces convert
-/// it to [`QueryOutcome`] or the legacy answer types.
+/// it to a [`QueryOutcome`].
 #[derive(Debug, Clone)]
 pub(crate) struct RunOutput {
     pub(crate) answer: QueryAnswer,
@@ -39,12 +29,8 @@ pub(crate) struct RunOutput {
 
 impl RunOutput {
     /// Shape for the unified API: decompose the answer, attach the
-    /// requested extras.
-    pub(crate) fn into_outcome(
-        self,
-        include_trace: bool,
-        session: Option<crate::session::SessionStats>,
-    ) -> QueryOutcome {
+    /// requested extras. Sessions fill in [`QueryOutcome::session`].
+    pub(crate) fn into_outcome(self, include_trace: bool) -> QueryOutcome {
         QueryOutcome {
             plan: self.answer.plan,
             subset_size: self.answer.subset_size,
@@ -52,25 +38,7 @@ impl RunOutput {
             choice: Some(self.choice),
             trace: include_trace.then_some(self.answer.trace),
             analyze: self.report,
-            session,
-        }
-    }
-
-    /// Shape for the legacy execute* surface.
-    pub(crate) fn into_optimized(self) -> OptimizedAnswer {
-        OptimizedAnswer {
-            answer: self.answer,
-            choice: self.choice,
-        }
-    }
-
-    /// Shape for the legacy explain_analyze* surface. Panics if the run
-    /// was not an analyze run.
-    pub(crate) fn into_analyzed(self) -> AnalyzedAnswer {
-        AnalyzedAnswer {
-            answer: self.answer,
-            choice: self.choice,
-            report: self.report.expect("analyze run carries a report"),
+            session: None,
         }
     }
 }
@@ -223,8 +191,7 @@ impl Colarm {
     /// [`ColarmError::Canceled`] and are never recorded in the feedback
     /// log (a truncated run would poison calibration).
     ///
-    /// Every other execution surface — the deprecated method matrix
-    /// ([`crate::compat`]), the CLI, the REPL, and the HTTP
+    /// Every other execution surface — the CLI, the REPL, and the HTTP
     /// server — funnels through the same inner path, so answers are
     /// bit-identical across transports. Session-aware runs go through
     /// [`crate::QuerySession::run`], which adds cache reuse on that
@@ -242,7 +209,7 @@ impl Colarm {
             request.plan,
             request.analyze,
         )?;
-        Ok(out.into_outcome(request.trace, None))
+        Ok(out.into_outcome(request.trace))
     }
 
     /// Parse and run a query-language string — sugar for [`Colarm::run`]
@@ -280,7 +247,7 @@ impl Colarm {
         }
         let chosen_by_optimizer = choice.chosen == choice.estimates[0].plan;
         if !analyze {
-            let answer = execute_plan_hooked(
+            let answer = engine::execute(
                 &self.index,
                 query,
                 subset,
@@ -297,7 +264,7 @@ impl Colarm {
             });
         }
         let pool_before = colarm_data::par::pool_stats();
-        let answer = execute_plan_hooked(
+        let answer = engine::execute(
             &self.index,
             query,
             subset,

@@ -45,7 +45,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod advisor;
-pub mod compat;
 pub mod cost;
 pub mod engine;
 pub mod error;
@@ -69,8 +68,8 @@ pub mod stats;
 pub use cost::{CostEstimate, CostTerm, SelectReuse};
 pub use engine::{pipeline_ops, Batch, CancelToken, Ctx, PlanOp, QueryLimits, ENGINE_BATCH};
 pub use error::ColarmError;
-pub use explain::{explain, AnalyzeReport, AnalyzedAnswer, AnalyzedOp, Explanation};
-pub use framework::{Colarm, OptimizedAnswer};
+pub use explain::{explain, AnalyzeReport, AnalyzedOp, Explanation};
+pub use framework::Colarm;
 pub use mip::{MipIndex, MipIndexConfig, Packing};
 pub use optimizer::{FeedbackEntry, FeedbackLog, Mispick, Optimizer, PlanChoice};
 pub use parse::parse_query;
@@ -81,10 +80,7 @@ pub use persist::{
 };
 pub use stats::{CatalogHints, StatsCatalog, StatsSource};
 pub use ops::{ExecOptions, OpKind, OpTrace};
-pub use plan::{
-    execute_plan, execute_plan_hooked, execute_plan_limited, execute_plan_with, ExecutionTrace,
-    PlanKind, QueryAnswer,
-};
+pub use plan::{execute_plan, ExecutionTrace, PlanKind, QueryAnswer};
 pub use query::{LocalizedQuery, Semantics};
 pub use request::{QueryOutcome, QueryRequest};
 pub use server::{

@@ -149,62 +149,25 @@ pub struct QueryAnswer {
 }
 
 /// Execute one plan over a resolved focal subset with default execution
-/// options (threads = session default; see [`ExecOptions`]).
+/// options (threads = session default; see [`ExecOptions`]) and no limits.
+/// The answer — rules, ordering, per-operator units — is bit-identical at
+/// every thread count; only durations vary. Callers that need options,
+/// limits or a session column store call [`engine::execute`] directly.
 pub fn execute_plan(
     index: &MipIndex,
     query: &LocalizedQuery,
     subset: &FocalSubset,
     plan: PlanKind,
 ) -> Result<QueryAnswer, ColarmError> {
-    execute_plan_with(index, query, subset, plan, ExecOptions::default())
-}
-
-/// Execute one plan over a resolved focal subset. The answer — rules,
-/// ordering, per-operator units — is bit-identical at every `opts.threads`
-/// setting; only durations vary.
-///
-/// Every plan runs through the operator engine ([`crate::engine`]): this
-/// is a thin wrapper applying no limits (no deadline, no budget, no
-/// cancellation). Use [`execute_plan_limited`] to bound the execution.
-pub fn execute_plan_with(
-    index: &MipIndex,
-    query: &LocalizedQuery,
-    subset: &FocalSubset,
-    plan: PlanKind,
-    opts: ExecOptions,
-) -> Result<QueryAnswer, ColarmError> {
-    engine::execute(index, query, subset, plan, opts, &QueryLimits::none())
-}
-
-/// [`execute_plan_with`] under explicit [`QueryLimits`]: a deadline, cost
-/// budget, or armed cancel token stops the run at the next batch boundary
-/// with [`ColarmError::Canceled`].
-pub fn execute_plan_limited(
-    index: &MipIndex,
-    query: &LocalizedQuery,
-    subset: &FocalSubset,
-    plan: PlanKind,
-    opts: ExecOptions,
-    limits: &QueryLimits,
-) -> Result<QueryAnswer, ColarmError> {
-    engine::execute(index, query, subset, plan, opts, limits)
-}
-
-/// [`execute_plan_limited`] with an optional session `ColumnStore`
-/// hooked into the ARM plan's SELECT (cross-query drill-down reuse).
-/// Rules, trace kinds, and units stay bit-identical to the storeless
-/// path — only durations and cache-revealing metric counters differ.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_hooked(
-    index: &MipIndex,
-    query: &LocalizedQuery,
-    subset: &FocalSubset,
-    plan: PlanKind,
-    opts: ExecOptions,
-    limits: &QueryLimits,
-    store: Option<&dyn crate::reuse::ColumnStore>,
-) -> Result<QueryAnswer, ColarmError> {
-    engine::execute_with_store(index, query, subset, plan, opts, limits, store)
+    engine::execute(
+        index,
+        query,
+        subset,
+        plan,
+        ExecOptions::default(),
+        &QueryLimits::none(),
+        None,
+    )
 }
 
 #[cfg(test)]

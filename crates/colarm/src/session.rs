@@ -19,13 +19,12 @@
 //! sessions at once.
 
 use crate::cost::SelectReuse;
-use crate::engine::{CancelToken, QueryLimits};
+use crate::engine::CancelToken;
 use crate::error::ColarmError;
-use crate::explain::AnalyzedAnswer;
 use crate::framework::Colarm;
 use crate::lru::LruCache;
 use crate::ops::ExecOptions;
-use crate::plan::{PlanKind, QueryAnswer};
+use crate::plan::QueryAnswer;
 use crate::query::{LocalizedQuery, Semantics};
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::reuse::{ColumnReuse, ColumnStore};
@@ -257,12 +256,6 @@ impl QuerySession {
         self.cancel.clone()
     }
 
-    fn limits(&self) -> QueryLimits {
-        let mut limits = QueryLimits::none().with_cancel(self.cancel.clone());
-        limits.timeout = self.timeout();
-        limits
-    }
-
     /// Resolve (or reuse) the focal subset of a range spec. A drill-down
     /// refinement of a cached subset is *derived* — the cached tidset is
     /// intersected with only the delta selections' tid-lists instead of
@@ -374,104 +367,15 @@ impl QuerySession {
         )?;
         // A canceled execution propagated above before anything was
         // cached: partial work never masquerades as an answer.
-        let outcome = if plain {
+        if plain {
             self.answer_misses.fetch_add(1, Ordering::Relaxed);
             let cached = Arc::new(out.answer.clone());
             self.answers.lock().insert(key, cached);
-            out.into_outcome(request.trace, None)
-        } else {
-            out.into_outcome(request.trace, None)
-        };
+        }
         Ok(QueryOutcome {
             session: Some(self.stats()),
-            ..outcome
+            ..out.into_outcome(request.trace)
         })
-    }
-
-    /// Execute (or reuse) a query with optimizer-selected plan — the
-    /// typed convenience over [`QuerySession::run`] for callers that
-    /// want the cached [`Arc<QueryAnswer>`] itself (repeat hits share
-    /// one allocation).
-    pub fn execute(&self, query: &LocalizedQuery) -> Result<Arc<QueryAnswer>, ColarmError> {
-        query.validate(self.colarm.index().dataset().schema())?;
-        let key = AnswerKey::of(query);
-        if let Some(cached) = self.answers.lock().get(&key) {
-            self.answer_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached.clone());
-        }
-        let subset = self.subset(&query.range)?;
-        if subset.is_empty() {
-            return Err(ColarmError::EmptySubset);
-        }
-        // A canceled execution propagates here before anything is cached:
-        // partial work never masquerades as an answer. The session hooks
-        // in as the engine's column store, and tells the optimizer how
-        // SELECT would actually be served so plan choice reflects reality.
-        let out = self.colarm.run_inner(
-            query,
-            &subset,
-            self.exec_options(),
-            &self.limits(),
-            Some(self),
-            self.probe_reuse(query),
-            None,
-            false,
-        )?;
-        let answer = Arc::new(out.answer);
-        self.answer_misses.fetch_add(1, Ordering::Relaxed);
-        self.answers.lock().insert(key, answer.clone());
-        Ok(answer)
-    }
-
-    /// Execute with a forced plan, still reusing the cached subset (the
-    /// answer cache is bypassed so plan comparisons stay honest).
-    pub fn execute_with_plan(
-        &self,
-        query: &LocalizedQuery,
-        plan: PlanKind,
-    ) -> Result<QueryAnswer, ColarmError> {
-        let subset = self.subset(&query.range)?;
-        self.colarm
-            .run_inner(
-                query,
-                &subset,
-                self.exec_options(),
-                &self.limits(),
-                Some(self),
-                self.probe_reuse(query),
-                Some(plan),
-                false,
-            )
-            .map(|out| out.answer)
-    }
-
-    /// `EXPLAIN ANALYZE` through the session: reuses the cached subset,
-    /// bypasses the answer cache (the point is to measure an execution),
-    /// and leaves the measured run in the system's feedback log. The
-    /// report states whether its predictions came from the statistics
-    /// catalog or the global-average fallback
-    /// ([`crate::explain::AnalyzeReport::stats_source`]).
-    pub fn explain_analyze(
-        &self,
-        query: &LocalizedQuery,
-    ) -> Result<AnalyzedAnswer, ColarmError> {
-        query.validate(self.colarm.index().dataset().schema())?;
-        let subset = self.subset(&query.range)?;
-        if subset.is_empty() {
-            return Err(ColarmError::EmptySubset);
-        }
-        self.colarm
-            .run_inner(
-                query,
-                &subset,
-                self.exec_options(),
-                &self.limits(),
-                Some(self),
-                self.probe_reuse(query),
-                None,
-                true,
-            )
-            .map(crate::framework::RunOutput::into_analyzed)
     }
 
     /// How this session's column cache would serve the query's SELECT —
@@ -573,7 +477,13 @@ impl ColumnStore for QuerySession {
 mod tests {
     use super::*;
     use crate::mip::MipIndexConfig;
+    use crate::plan::PlanKind;
     use colarm_data::synth::salary;
+
+    /// A plain (answer-cacheable) session run that reports its trace.
+    fn run(session: &QuerySession, q: &LocalizedQuery) -> Result<QueryOutcome, ColarmError> {
+        session.run(&QueryRequest::query(q).with_trace(true))
+    }
 
     fn system() -> Arc<Colarm> {
         Colarm::build(
@@ -597,7 +507,7 @@ mod tests {
             .unwrap();
         for minsupp in [0.5, 0.6, 0.75] {
             let q = base.clone().minsupp(minsupp).minconf(0.8).build().unwrap();
-            session.execute(&q).unwrap();
+            run(&session, &q).unwrap();
         }
         let stats = session.stats();
         assert_eq!(stats.subset_misses, 1, "one range → one resolution");
@@ -618,10 +528,11 @@ mod tests {
             .minconf(0.8)
             .build()
             .unwrap();
-        let a = session.execute(&q).unwrap();
-        let b = session.execute(&q).unwrap();
+        let a = run(&session, &q).unwrap();
+        let b = run(&session, &q).unwrap();
         assert_eq!(a.rules, b.rules);
-        assert!(Arc::ptr_eq(&a, &b), "second answer must come from cache");
+        assert!(a.choice.is_some(), "first answer ran the optimizer");
+        assert!(b.choice.is_none(), "second answer must come from cache");
         assert_eq!(session.stats().answer_hits, 1);
         // Different threshold → different key.
         let q2 = LocalizedQuery::builder()
@@ -631,7 +542,7 @@ mod tests {
             .minconf(0.8)
             .build()
             .unwrap();
-        session.execute(&q2).unwrap();
+        run(&session, &q2).unwrap();
         assert_eq!(session.stats().answer_misses, 2);
     }
 
@@ -647,7 +558,7 @@ mod tests {
             .minconf(0.7)
             .build()
             .unwrap();
-        let via_session = session.execute(&q).unwrap();
+        let via_session = run(&session, &q).unwrap();
         let direct = colarm
             .run(&crate::request::QueryRequest::query(&q))
             .unwrap();
@@ -667,10 +578,10 @@ mod tests {
             .unwrap();
         let sequential = QuerySession::new(colarm.clone());
         sequential.set_threads(1);
-        let a = sequential.execute(&q).unwrap();
+        let a = run(&sequential, &q).unwrap();
         let parallel = QuerySession::new(colarm);
         parallel.set_threads(4);
-        let b = parallel.execute(&q).unwrap();
+        let b = run(&parallel, &q).unwrap();
         assert_eq!(a.rules, b.rules);
     }
 
@@ -683,9 +594,9 @@ mod tests {
             .minconf(0.8)
             .build()
             .unwrap();
-        session.execute(&q).unwrap();
+        run(&session, &q).unwrap();
         session.clear();
-        session.execute(&q).unwrap();
+        run(&session, &q).unwrap();
         assert_eq!(session.stats().answer_misses, 2);
     }
 
@@ -708,17 +619,17 @@ mod tests {
                 .unwrap()
         };
         let (q1, q2, q3) = (query(0.3), query(0.4), query(0.5));
-        session.execute(&q1).unwrap();
-        session.execute(&q2).unwrap();
-        session.execute(&q3).unwrap(); // evicts q1's answer
+        run(&session, &q1).unwrap();
+        run(&session, &q2).unwrap();
+        run(&session, &q3).unwrap(); // evicts q1's answer
         assert_eq!(session.stats().answer_evictions, 1);
-        session.execute(&q2).unwrap(); // hit: refreshes q2, q3 becomes LRU
+        run(&session, &q2).unwrap(); // hit: refreshes q2, q3 becomes LRU
         assert_eq!(session.stats().answer_hits, 1);
-        session.execute(&q1).unwrap(); // miss again, evicts q3 (q2 refreshed)
+        run(&session, &q1).unwrap(); // miss again, evicts q3 (q2 refreshed)
         let stats = session.stats();
         assert_eq!(stats.answer_misses, 4);
         assert_eq!(stats.answer_evictions, 2);
-        session.execute(&q2).unwrap();
+        run(&session, &q2).unwrap();
         assert_eq!(session.stats().answer_hits, 2, "q2 survived both evictions");
     }
 
@@ -764,8 +675,8 @@ mod tests {
             .minconf(0.8)
             .build()
             .unwrap();
-        let a = session.execute(&q).unwrap();
-        let b = session.execute(&q).unwrap();
+        let a = run(&session, &q).unwrap();
+        let b = run(&session, &q).unwrap();
         assert_eq!(a.rules, b.rules);
         let stats = session.stats();
         assert_eq!(stats.answer_hits, 0);
@@ -789,7 +700,7 @@ mod tests {
                 .minconf(0.7)
                 .build()
                 .unwrap();
-            let answer = session.execute(&q).unwrap();
+            let answer = run(&session, &q).unwrap();
             answer.rules.len()
         });
         handle.join().unwrap();
@@ -813,7 +724,7 @@ mod tests {
                         .build()
                         .unwrap();
                     // SFO has 2 records; every location subset is nonempty.
-                    session.execute(&q).unwrap();
+                    run(session, &q).unwrap();
                 });
             }
         });
@@ -833,7 +744,7 @@ mod tests {
             .build()
             .unwrap();
         session.set_timeout(Some(Duration::ZERO));
-        let err = session.execute(&q).unwrap_err();
+        let err = run(&session, &q).unwrap_err();
         assert!(
             matches!(err, ColarmError::Canceled { .. }),
             "expected Canceled, got {err:?}"
@@ -844,7 +755,7 @@ mod tests {
         // ...and the session works again once the deadline is lifted.
         session.set_timeout(None);
         assert_eq!(session.timeout(), None);
-        session.execute(&q).unwrap();
+        run(&session, &q).unwrap();
         assert_eq!(session.stats().answer_misses, 1);
     }
 
@@ -858,13 +769,13 @@ mod tests {
             .build()
             .unwrap();
         session.cancel();
-        let err = session.execute(&q).unwrap_err();
+        let err = run(&session, &q).unwrap_err();
         assert!(matches!(err, ColarmError::Canceled { .. }));
         // Cached state and stats are untouched by the cancellation; a
         // reset session executes (and caches) normally.
         session.reset_cancel();
-        session.execute(&q).unwrap();
-        session.execute(&q).unwrap();
+        run(&session, &q).unwrap();
+        run(&session, &q).unwrap();
         let stats = session.stats();
         assert_eq!(stats.answer_misses, 1);
         assert_eq!(stats.answer_hits, 1);
@@ -882,10 +793,13 @@ mod tests {
             .minconf(0.7)
             .build()
             .unwrap();
-        session.execute(&q).unwrap();
-        let analyzed = session.explain_analyze(&q).unwrap();
+        run(&session, &q).unwrap();
+        let analyzed = session
+            .run(&QueryRequest::query(&q).with_analyze(true))
+            .unwrap();
         assert_eq!(session.stats().subset_hits, 1, "analyze reused the subset");
-        assert!(analyzed.report.ops.iter().all(|o| o.metrics.is_some()));
+        let report = analyzed.analyze.expect("analyze runs carry a report");
+        assert!(report.ops.iter().all(|o| o.metrics.is_some()));
         assert!(!colarm.feedback().is_empty());
     }
 
@@ -914,19 +828,20 @@ mod tests {
             .semantics(Semantics::Unrestricted)
             .build()
             .unwrap();
-        session.execute(&q1).unwrap();
-        let drilled = session.execute(&q2).unwrap();
+        run(&session, &q1).unwrap();
+        let drilled = run(&session, &q2).unwrap();
         let stats = session.stats();
         assert_eq!(stats.subset_misses, 1, "only q1 resolved from scratch");
         assert_eq!(stats.subsets_derived, 1, "q2's subset derived from q1's");
         assert_eq!(stats.column_misses, 1, "only q1 scanned the vertical DB");
         assert_eq!(stats.columns_derived, 1, "q2's columns derived from q1's");
         // Bit-identical to a cold session that does everything fresh.
-        let cold = QuerySession::new(colarm).execute(&q2).unwrap();
+        let cold = run(&QuerySession::new(colarm), &q2).unwrap();
         assert_eq!(drilled.rules, cold.rules);
         assert_eq!(drilled.subset_size, cold.subset_size);
-        assert_eq!(drilled.trace.ops.len(), cold.trace.ops.len());
-        for (a, b) in drilled.trace.ops.iter().zip(&cold.trace.ops) {
+        let (drilled, cold) = (drilled.trace.unwrap(), cold.trace.unwrap());
+        assert_eq!(drilled.ops.len(), cold.ops.len());
+        for (a, b) in drilled.ops.iter().zip(&cold.ops) {
             assert_eq!(a.kind, b.kind);
             assert_eq!(a.units.to_bits(), b.units.to_bits(), "{} units drifted", a.name());
         }
@@ -944,14 +859,16 @@ mod tests {
             .minconf(0.7)
             .build()
             .unwrap();
-        let a = session.execute_with_plan(&q, PlanKind::Arm).unwrap();
-        let b = session.execute_with_plan(&q, PlanKind::Arm).unwrap();
+        let forced = QueryRequest::query(&q).with_plan(PlanKind::Arm).with_trace(true);
+        let a = session.run(&forced).unwrap();
+        let b = session.run(&forced).unwrap();
         assert_eq!(a.rules, b.rules);
         let stats = session.stats();
         assert_eq!(stats.column_misses, 1);
         assert_eq!(stats.column_hits, 1, "second run reused the exact columns");
         // Reuse shows only in wall-clock and counters — units are pinned.
-        for (x, y) in a.trace.ops.iter().zip(&b.trace.ops) {
+        let (a, b) = (a.trace.unwrap(), b.trace.unwrap());
+        for (x, y) in a.ops.iter().zip(&b.ops) {
             assert_eq!(x.units.to_bits(), y.units.to_bits());
         }
     }
@@ -970,10 +887,13 @@ mod tests {
             .semantics(Semantics::Unrestricted)
             .build()
             .unwrap();
-        let cold = session.explain_analyze(&q).unwrap();
-        let warm = session.explain_analyze(&q).unwrap();
-        let select_secs = |a: &AnalyzedAnswer| {
+        let analyze = QueryRequest::query(&q).with_analyze(true);
+        let cold = session.run(&analyze).unwrap();
+        let warm = session.run(&analyze).unwrap();
+        let select_secs = |a: &QueryOutcome| {
             a.choice
+                .as_ref()
+                .unwrap()
                 .estimate_for(PlanKind::Arm)
                 .term(OpKind::Select)
                 .unwrap()
@@ -984,7 +904,8 @@ mod tests {
             "optimizer must price the cached SELECT cheaper"
         );
         // The executed SELECT reveals the exact hit through its counters.
-        let m = warm.report.op_kind(OpKind::Select).unwrap().metrics.unwrap();
+        let report = warm.analyze.as_ref().unwrap();
+        let m = report.op_kind(OpKind::Select).unwrap().metrics.unwrap();
         assert!(m.cache_hits > 0, "exact column reuse recorded");
         assert_eq!(session.stats().column_hits, 1);
     }

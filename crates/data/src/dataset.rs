@@ -340,7 +340,7 @@ impl DatasetBuilder {
 
 /// Vertical index: one sorted tid-list per global item id.
 ///
-/// This is both the input format of the CHARM/Eclat miners and the engine of
+/// This is both the input format of the CHARM miner and the engine of
 /// focal-subset resolution — the tidset of a range selection is a union of
 /// per-value tid-lists intersected across attributes.
 #[derive(Debug, Clone, Serialize, Deserialize)]

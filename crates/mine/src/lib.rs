@@ -8,13 +8,8 @@
 //!
 //! * [`charm`][mod@charm] — CHARM closed-itemset mining over vertical tid-lists with
 //!   Zaki–Hsiao's four IT-pair properties and hash-based subsumption.
-//! * [`eclat`] — vertical all-frequent-itemset mining (cross-check and
-//!   measurement baseline).
-//! * [`apriori`] — classic horizontal level-wise mining (second baseline).
 //! * [`reference`][mod@reference] — brute-force closed/frequent miners used as oracles by
 //!   the property tests.
-//! * [`maximal`] — maximal-frequent-itemset filtering (the third
-//!   condensed representation of \[7\]).
 //! * [`ittree`] — the closed itemset–tidset tree: closure lookup (the key
 //!   to computing any itemset's local support from prestored CFIs) and
 //!   level organisation (paper Lemma 4.3).
@@ -25,11 +20,8 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod apriori;
 pub mod charm;
-pub mod eclat;
 pub mod ittree;
-pub mod maximal;
 pub mod measures;
 pub mod reference;
 pub mod rules;

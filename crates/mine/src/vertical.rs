@@ -1,6 +1,6 @@
 //! Vertical mining inputs: `(item, tid-list)` pairs.
 //!
-//! CHARM and Eclat consume a vertical database. Helpers here build one from
+//! CHARM consumes a vertical database. Helpers here build one from
 //! a dataset's [`VerticalIndex`], optionally restricted to a subset of
 //! records (COLARM's ARM plan mines the extracted focal subset from
 //! scratch) and/or to the items of selected attributes (the query's

@@ -11,7 +11,7 @@
 //! cargo run --release --example interactive_session
 //! ```
 
-use colarm::{Colarm, LocalizedQuery, QuerySession};
+use colarm::{Colarm, LocalizedQuery, QueryRequest, QuerySession};
 use colarm_bench::{build_system, mushroom_spec, random_subset_spec, Scale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,7 +76,7 @@ fn main() {
             .minconf(minconf)
             .build().expect("valid query");
         let t = Instant::now();
-        let answer = session.execute(&q).expect("query runs");
+        let answer = session.run(&QueryRequest::query(&q)).expect("query runs");
         println!(
             "  minsupp {:.0}% minconf {:.0}% → {:>6} rules via {:<9} in {:>9.3?}",
             minsupp * 100.0,

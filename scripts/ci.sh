@@ -13,8 +13,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# Every workspace member's tests, not just the root package's: the
+# library crates' unit tests (colarm, colarm-data, mine, rtree, cli) run
+# here too.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # Format stability: all committed golden fixtures (v1 sparse/dense, v2
 # container payloads, v3 statistics catalog, v4 mmap layout) must keep
@@ -38,17 +41,20 @@ cargo test -q --test parallel_determinism \
 echo "==> worker-pool tests (release)"
 cargo test --release -q -p colarm-data par::
 
-# The execute*/explain_analyze* matrix is deprecated in favor of the
-# unified QueryRequest/QueryOutcome path; nothing in-repo may still call
-# it except the forwarder module itself (compat.rs carries the only
-# #![allow(deprecated)]).
-echo "==> no in-repo callers of the deprecated method matrix (-D deprecated)"
+# Queries run through one path (Colarm::run / QuerySession::run over the
+# operator engine). The workspace carries no #[deprecated] items; this
+# gate keeps it that way and also fails on any use of a deprecated
+# std or dependency API.
+echo "==> no deprecated items or uses (-D deprecated)"
 RUSTFLAGS="-D deprecated" cargo check --workspace --all-targets
 
 # Boot the released `colarm serve` binary on an ephemeral port, run a
 # 3-query drill-down over HTTP, and diff every answer against in-process
 # execution. Covers the CLI + socket loop the in-process tests skip.
+# The root `cargo build --release` builds only the root package, so build
+# the CLI binary the smoke test drives explicitly.
 echo "==> server smoke (colarm serve vs in-process, scripts/server_smoke.sh)"
+cargo build --release -p colarm-cli
 scripts/server_smoke.sh
 
 # Unsafe audit: `unsafe` is confined to four audited modules (the worker

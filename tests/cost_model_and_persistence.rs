@@ -99,7 +99,7 @@ fn session_caching_preserves_answers_under_bursts() {
             .minsupp(minsupp)
             .minconf(minconf)
             .build().unwrap();
-        let via_session = session.execute(&q).unwrap();
+        let via_session = session.run(&QueryRequest::query(&q)).unwrap();
         let direct = system.run(&QueryRequest::query(&q)).unwrap();
         assert_eq!(via_session.rules, direct.rules);
     }
@@ -176,7 +176,7 @@ fn calibration_survives_a_snapshot_round_trip_bit_exactly() {
 
 #[test]
 fn traditional_arm_agrees_with_every_index_plan() {
-    // The from-scratch Apriori ARM plan and the five MIP-index plans must
+    // The from-scratch ARM plan and the five MIP-index plans must
     // return identical answers on the benchmark analogs.
     let spec = mushroom_spec(Scale::Smoke);
     let system = build_system(&spec);

@@ -3,12 +3,16 @@
 //! produce results bit-identical to a cold session that scans everything
 //! fresh — same rules, same subset tidsets (including representation),
 //! same per-operator unit accounting. Randomized over datasets, refinement
-//! shapes, and thresholds; plus a cancellation test pinning down that a
-//! canceled drill-down publishes nothing into the column cache.
+//! shapes, and thresholds — including every plan forced through the warm
+//! session; plus a cancellation test pinning down that a canceled
+//! drill-down publishes nothing into the column cache.
 
 use colarm::data::synth::{generate, SynthConfig};
 use colarm::data::{AttributeId, RangeSpec};
-use colarm::{Colarm, ColarmError, LocalizedQuery, MipIndexConfig, QuerySession, Semantics};
+use colarm::{
+    Colarm, ColarmError, LocalizedQuery, MipIndexConfig, PlanKind, QueryRequest, QuerySession,
+    Semantics,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,6 +58,11 @@ fn arm_query(range: &RangeSpec, minsupp: f64) -> LocalizedQuery {
         .expect("valid query")
 }
 
+/// A plain (answer-cacheable) session request that reports its trace.
+fn traced(query: &LocalizedQuery) -> QueryRequest {
+    QueryRequest::query(query).with_trace(true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -87,8 +96,8 @@ proptest! {
         // Warm session: base first, then the refinement — subset and
         // columns must both be served by derivation, not fresh scans.
         let warm = QuerySession::new(colarm.clone());
-        warm.execute(&base_q).expect("base runs");
-        let drilled = warm.execute(&refined_q).expect("refined runs");
+        warm.run(&traced(&base_q)).expect("base runs");
+        let drilled = warm.run(&traced(&refined_q)).expect("refined runs");
         let stats = warm.stats();
         prop_assert_eq!(stats.subsets_derived, 1);
         prop_assert_eq!(stats.columns_derived, 1);
@@ -107,11 +116,12 @@ proptest! {
 
         // The drilled answer is bit-identical to a cold session's.
         let cold = QuerySession::new(colarm.clone());
-        let fresh_answer = cold.execute(&refined_q).expect("cold runs");
+        let fresh_answer = cold.run(&traced(&refined_q)).expect("cold runs");
         prop_assert_eq!(&drilled.rules, &fresh_answer.rules);
         prop_assert_eq!(drilled.subset_size, fresh_answer.subset_size);
-        prop_assert_eq!(drilled.trace.ops.len(), fresh_answer.trace.ops.len());
-        for (a, b) in drilled.trace.ops.iter().zip(&fresh_answer.trace.ops) {
+        let (drilled, fresh) = (drilled.trace.unwrap(), fresh_answer.trace.unwrap());
+        prop_assert_eq!(drilled.ops.len(), fresh.ops.len());
+        for (a, b) in drilled.ops.iter().zip(&fresh.ops) {
             prop_assert_eq!(a.kind, b.kind);
             prop_assert_eq!(
                 a.units.to_bits(),
@@ -119,6 +129,29 @@ proptest! {
                 "{} unit accounting drifted",
                 a.kind
             );
+        }
+
+        // Every plan forced through the warm session (cached subset and
+        // columns) answers bit-identically to the sessionless path with
+        // the same plan. Strict semantics, so all six plans may run.
+        let strict_q = LocalizedQuery {
+            semantics: Semantics::Strict,
+            ..refined_q.clone()
+        };
+        for plan in PlanKind::ALL {
+            let request = traced(&strict_q).with_plan(plan);
+            let via_session = warm.run(&request).expect("forced plan runs in the session");
+            let direct = colarm.run(&request).expect("forced plan runs directly");
+            prop_assert_eq!(via_session.plan, plan);
+            prop_assert_eq!(direct.plan, plan);
+            prop_assert_eq!(&via_session.rules, &direct.rules, "{} diverged", plan);
+            prop_assert_eq!(via_session.subset_size, direct.subset_size);
+            let (s, d) = (via_session.trace.unwrap(), direct.trace.unwrap());
+            prop_assert_eq!(s.ops.len(), d.ops.len());
+            for (a, b) in s.ops.iter().zip(&d.ops) {
+                prop_assert_eq!(a.kind, b.kind);
+                prop_assert_eq!(a.units.to_bits(), b.units.to_bits(), "{}/{}", plan, a.kind);
+            }
         }
     }
 }
@@ -144,8 +177,8 @@ fn derived_shapes_are_stable_across_thread_counts() {
     for threads in [1usize, 2, 8] {
         let session = QuerySession::new(colarm.clone());
         session.set_threads(threads);
-        session.execute(&base_q).expect("base runs");
-        let drilled = session.execute(&refined_q).expect("refined runs");
+        session.run(&traced(&base_q)).expect("base runs");
+        let drilled = session.run(&traced(&refined_q)).expect("refined runs");
         assert_eq!(session.stats().subsets_derived, 1, "{threads} threads");
         let derived = session.subset(&refined_range).expect("cached");
         assert_eq!(derived.tids(), fresh.tids(), "{threads} threads");
@@ -174,13 +207,13 @@ fn canceled_drill_down_publishes_nothing_into_the_column_cache() {
     let base_q = arm_query(&base_range, 0.3);
     let refined_q = arm_query(&refined_range, 0.3);
     let session = QuerySession::new(colarm.clone());
-    session.execute(&base_q).unwrap();
+    session.run(&traced(&base_q)).unwrap();
     assert_eq!(session.stats().column_misses, 1);
 
     // Zero deadline: the engine cancels before SELECT completes, so the
     // column store must see no publish and count no derivation.
     session.set_timeout(Some(Duration::ZERO));
-    let err = session.execute(&refined_q).unwrap_err();
+    let err = session.run(&traced(&refined_q)).unwrap_err();
     assert!(matches!(err, ColarmError::Canceled { .. }), "got {err:?}");
     let after = session.stats();
     assert_eq!(after.column_misses, 1, "canceled run published a fresh scan");
@@ -190,8 +223,8 @@ fn canceled_drill_down_publishes_nothing_into_the_column_cache() {
     // Lifting the deadline re-executes fully; only now does the derived
     // materialization land in the cache, and the answer matches a cold run.
     session.set_timeout(None);
-    let drilled = session.execute(&refined_q).unwrap();
+    let drilled = session.run(&traced(&refined_q)).unwrap();
     assert_eq!(session.stats().columns_derived, 1);
-    let cold = QuerySession::new(colarm).execute(&refined_q).unwrap();
+    let cold = QuerySession::new(colarm).run(&traced(&refined_q)).unwrap();
     assert_eq!(drilled.rules, cold.rules);
 }

@@ -1,8 +1,8 @@
 //! The operator engine is a pure refactor of the plan executor: for every
-//! plan, every dataset, and every thread count, `engine::execute` (through
-//! `execute_plan_with`) must produce **bit-identical** rules, traces, and
-//! metrics to the pre-engine wiring — the hand-written pipelines of
-//! `ops::` free functions this suite reproduces verbatim. Cancellation is
+//! plan, every dataset, and every thread count, `engine::execute` must
+//! produce **bit-identical** rules, traces, and metrics to the pre-engine
+//! wiring — the hand-written pipelines of `ops::` free functions this
+//! suite reproduces verbatim. Cancellation is
 //! the engine's one new behaviour: a deadline/budget/token stop surfaces
 //! as `ColarmError::Canceled` naming the operator, never a panic or a
 //! partial answer.
@@ -10,8 +10,8 @@
 use colarm::data::synth::{generate, salary, SynthConfig};
 use colarm::data::FocalSubset;
 use colarm::mine::rules::Rule;
+use colarm::engine;
 use colarm::ops::{self, ExecOptions, OpTrace};
-use colarm::plan::{execute_plan_limited, execute_plan_with};
 use colarm::{
     ColarmError, LocalizedQuery, MipIndex, MipIndexConfig, OpKind, PlanKind, QueryLimits,
 };
@@ -35,16 +35,16 @@ fn reference_execute(
         PlanKind::Sev => {
             let (cands, t) = ops::search(index, subset);
             traces.push(t);
-            let (kept, t) = ops::eliminate_with(index, query, subset, cands, minsupp_count, opts);
+            let (kept, t) = ops::eliminate(index, query, subset, cands, minsupp_count, opts);
             traces.push(t);
-            let (rules, t) = ops::verify_with(index, subset, &kept, minconf, opts);
+            let (rules, t) = ops::verify(index, subset, &kept, minconf, opts);
             traces.push(t);
             rules
         }
         PlanKind::Svs => {
             let (cands, t) = ops::search(index, subset);
             traces.push(t);
-            let (rules, t) = ops::supported_verify_with(
+            let (rules, t) = ops::supported_verify(
                 index, query, subset, cands, minsupp_count, minconf, opts,
             );
             traces.push(t);
@@ -53,16 +53,16 @@ fn reference_execute(
         PlanKind::SsEv => {
             let (cands, t) = ops::supported_search(index, subset, minsupp_count);
             traces.push(t);
-            let (kept, t) = ops::eliminate_with(index, query, subset, cands, minsupp_count, opts);
+            let (kept, t) = ops::eliminate(index, query, subset, cands, minsupp_count, opts);
             traces.push(t);
-            let (rules, t) = ops::verify_with(index, subset, &kept, minconf, opts);
+            let (rules, t) = ops::verify(index, subset, &kept, minconf, opts);
             traces.push(t);
             rules
         }
         PlanKind::SsVs => {
             let (cands, t) = ops::supported_search(index, subset, minsupp_count);
             traces.push(t);
-            let (rules, t) = ops::supported_verify_with(
+            let (rules, t) = ops::supported_verify(
                 index, query, subset, cands, minsupp_count, minconf, opts,
             );
             traces.push(t);
@@ -74,19 +74,19 @@ fn reference_execute(
             let (contained, partial, t) = ops::classify(index, query, subset, cands);
             traces.push(t);
             let (kept_partial, t) =
-                ops::eliminate_projected_with(index, subset, partial, minsupp_count, opts);
+                ops::eliminate_projected(index, subset, partial, minsupp_count, opts);
             traces.push(t);
             let (merged, t) = ops::union_lists(contained, kept_partial);
             traces.push(t);
-            let (rules, t) = ops::verify_with(index, subset, &merged, minconf, opts);
+            let (rules, t) = ops::verify(index, subset, &merged, minconf, opts);
             traces.push(t);
             rules
         }
         PlanKind::Arm => {
-            let (columns, t) = ops::select_with(index, query, subset, opts);
+            let (columns, t) = ops::select(index, query, subset, opts);
             traces.push(t);
             let (rules, t) =
-                ops::arm_with(index, query, subset, &columns, minsupp_count, minconf, opts);
+                ops::arm(index, query, subset, &columns, minsupp_count, minconf, opts);
             traces.push(t);
             rules
         }
@@ -107,7 +107,8 @@ fn assert_engine_matches_reference(
     label: &str,
 ) {
     let opts = ExecOptions::with_threads(threads).with_metrics(true);
-    let engine = execute_plan_with(index, query, subset, plan, opts).unwrap();
+    let engine =
+        engine::execute(index, query, subset, plan, opts, &QueryLimits::none(), None).unwrap();
     let (ref_rules, ref_traces) = reference_execute(index, query, subset, plan, opts);
     assert_eq!(
         engine.rules, ref_rules,
@@ -253,13 +254,14 @@ fn zero_deadline_cancels_every_plan_before_its_first_operator() {
     let subset = index.resolve_subset(query.range.clone()).unwrap();
     for plan in PlanKind::ALL {
         let limits = QueryLimits::none().with_timeout(Duration::ZERO);
-        let err = execute_plan_limited(
+        let err = engine::execute(
             &index,
             query,
             &subset,
             plan,
             ExecOptions::default(),
             &limits,
+            None,
         )
         .unwrap_err();
         match err {
@@ -286,13 +288,14 @@ fn canceled_executions_report_consistent_spent_units() {
     let subset = index.resolve_subset(query.range.clone()).unwrap();
     let (_, search_trace) = ops::search(&index, &subset);
     let limits = QueryLimits::none().with_budget_units(search_trace.units - 0.5);
-    let err = execute_plan_limited(
+    let err = engine::execute(
         &index,
         query,
         &subset,
         PlanKind::Sev,
         ExecOptions::default(),
         &limits,
+        None,
     )
     .unwrap_err();
     match err {

@@ -7,10 +7,10 @@
 //! files the process can only read.
 
 use colarm::data::synth::{generate, SynthConfig};
-use colarm::plan::execute_plan_with;
+use colarm::engine;
 use colarm::{
     load_index_with_mode, save_index, save_index_v3_with_constants, Colarm, ExecOptions,
-    LocalizedQuery, MipIndex, MipIndexConfig, PlanKind, QueryOutcome, QueryRequest,
+    LocalizedQuery, MipIndex, MipIndexConfig, PlanKind, QueryLimits, QueryOutcome, QueryRequest,
     ValidationMode,
 };
 use std::path::PathBuf;
@@ -106,10 +106,12 @@ fn mapped_load_is_bit_identical_to_owned_decode_on_all_plans() {
         assert_eq!(so.tids(), se.tids(), "subset resolution diverged on the eager map");
         for plan in PlanKind::ALL {
             for threads in [1usize, 2, 8] {
-                let opts = || ExecOptions::with_threads(threads);
-                let a = execute_plan_with(&owned, query, &so, plan, opts()).unwrap();
-                let b = execute_plan_with(&lazy, query, &sl, plan, opts()).unwrap();
-                let c = execute_plan_with(&eager, query, &se, plan, opts()).unwrap();
+                let opts = ExecOptions::with_threads(threads);
+                let none = QueryLimits::none();
+                let run = |index: &MipIndex, subset| {
+                    engine::execute(index, query, subset, plan, opts, &none, None).unwrap()
+                };
+                let (a, b, c) = (run(&owned, &so), run(&lazy, &sl), run(&eager, &se));
                 for (label, other) in [("lazy", &b), ("eager", &c)] {
                     assert_eq!(
                         a.rules, other.rules,
@@ -235,21 +237,25 @@ fn read_only_snapshot_maps_and_answers() {
         index.ensure_validated().unwrap();
         let query = &queries(&schema)[0];
         let subset = index.resolve_subset(query.range.clone()).unwrap();
-        let got = execute_plan_with(
+        let got = engine::execute(
             &index,
             query,
             &subset,
             PlanKind::Sev,
             ExecOptions::with_threads(1),
+            &QueryLimits::none(),
+            None,
         )
         .unwrap();
         let ss = original.resolve_subset(query.range.clone()).unwrap();
-        let want = execute_plan_with(
+        let want = engine::execute(
             &original,
             query,
             &ss,
             PlanKind::Sev,
             ExecOptions::with_threads(1),
+            &QueryLimits::none(),
+            None,
         )
         .unwrap();
         assert_eq!(got.rules, want.rules, "{mode:?}");

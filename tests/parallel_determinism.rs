@@ -4,10 +4,10 @@
 //! accounting. Only wall-clock durations may differ.
 
 use colarm::data::synth::{generate, SynthConfig};
-use colarm::plan::execute_plan_with;
+use colarm::engine;
 use colarm::{
-    Colarm, ExecOptions, LocalizedQuery, MipIndex, MipIndexConfig, PlanKind, QuerySession,
-    Semantics,
+    Colarm, ExecOptions, LocalizedQuery, MipIndex, MipIndexConfig, PlanKind, QueryLimits,
+    QueryRequest, QuerySession, Semantics,
 };
 
 /// Dense enough that candidate lists cross the operators' internal
@@ -95,9 +95,10 @@ fn concurrent_sessions_share_one_system_deterministically() {
         session.set_threads(threads);
         let mut out = Vec::new();
         for q in &chain {
-            let answer = session.execute(q).unwrap();
-            let units: Vec<u64> = answer.trace.ops.iter().map(|o| o.units.to_bits()).collect();
-            out.push((answer.rules.clone(), units, answer.subset_size));
+            let answer = session.run(&QueryRequest::query(q).with_trace(true)).unwrap();
+            let trace = answer.trace.expect("traced run");
+            let units: Vec<u64> = trace.ops.iter().map(|o| o.units.to_bits()).collect();
+            out.push((answer.rules, units, answer.subset_size));
         }
         (out, session.stats())
     };
@@ -147,22 +148,26 @@ fn all_plans_bit_identical_across_thread_counts() {
     for query in &queries {
         let subset = index.resolve_subset(query.range.clone()).unwrap();
         for plan in PlanKind::ALL {
-            let seq = execute_plan_with(
+            let seq = engine::execute(
                 &index,
                 query,
                 &subset,
                 plan,
                 ExecOptions::with_threads(1),
+                &QueryLimits::none(),
+                None,
             )
             .unwrap();
             // 0 = session default (all cores), the rest pin odd counts.
             for threads in [2, 3, 8, 0] {
-                let par = execute_plan_with(
+                let par = engine::execute(
                     &index,
                     query,
                     &subset,
                     plan,
                     ExecOptions::with_threads(threads),
+                    &QueryLimits::none(),
+                    None,
                 )
                 .unwrap();
                 assert_eq!(par.rules, seq.rules, "{plan} diverged at {threads} threads");
